@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"github.com/rolo-storage/rolo/internal/intervals"
 	"github.com/rolo-storage/rolo/internal/invariant"
 	"github.com/rolo-storage/rolo/internal/logspace"
 )
@@ -68,12 +69,14 @@ func (g *GRAID) cleanDirty(p int, start, end int64) {
 	g.dirty[p].Remove(start, end)
 }
 
-// clearDirty empties pair p's stale set as the centralized destage takes
-// ownership of its spans (they move into the destage work set).
+// takeDirty hands pair p's stale set to the centralized destage as its work
+// set and leaves p the spare the previous destage drained: a destage starts
+// only after the last one's copiers all drained, so the spare is empty.
 //
 // rolosan:audited
-func (g *GRAID) clearDirty(p int) {
-	g.dirty[p].Clear()
+func (g *GRAID) takeDirty(p int) *intervals.Set {
+	g.dirty[p], g.spare[p] = g.spare[p], g.dirty[p]
+	return &g.spare[p]
 }
 
 // SanitizerCounters implements invariant.Source.

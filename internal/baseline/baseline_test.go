@@ -300,3 +300,71 @@ func TestGRAIDGenerationIsolation(t *testing.T) {
 			got, during*(64<<10))
 	}
 }
+
+// TestGRAIDDestageTakesDirtySets pins the destage hand-off: starting a
+// destage moves every pair's stale set into the copier's work set and
+// leaves the pair an empty set for writes that land during the destage;
+// the next destage takes exactly those.
+func TestGRAIDDestageTakesDirtySets(t *testing.T) {
+	a, eng := testArray(t, 2, 1)
+	c, err := NewGRAID(a, graidConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(off int64) {
+		t.Helper()
+		if err := c.Submit(trace.Record{At: eng.Now(), Op: trace.Write, Offset: off, Size: 64 << 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Scattered writes leave several disjoint stale spans per pair, more
+	// than one destage chunk's worth.
+	for i := int64(0); i < 16; i++ {
+		write(i * (17 << 16)) // 17 stripe units apart: alternate pairs, gaps between
+	}
+	eng.Run()
+	want := make([]int64, len(c.dirty))
+	for p := range c.dirty {
+		if want[p] = c.dirty[p].Total(); want[p] == 0 {
+			t.Fatalf("pair %d has no stale bytes to destage", p)
+		}
+	}
+	c.startDestage(eng.Now())
+	for p := range c.dirty {
+		if !c.dirty[p].Empty() {
+			t.Fatalf("pair %d still holds %d stale bytes after the destage took them", p, c.dirty[p].Total())
+		}
+		// The copier has one chunk in flight; the rest waits in the work set.
+		if got := c.spare[p].Total(); got <= 0 || got >= want[p] {
+			t.Fatalf("pair %d work set holds %d bytes, want some of %d", p, got, want[p])
+		}
+	}
+	write(40 << 20) // two disjoint spans land mid-destage
+	write(42 << 20)
+	eng.Run()
+	if c.destaging {
+		t.Fatal("destage never finished")
+	}
+	var during int64
+	for p := range c.dirty {
+		if !c.spare[p].Empty() {
+			t.Fatalf("pair %d work set not drained: %v", p, c.spare[p].Spans())
+		}
+		during += c.dirty[p].Total()
+	}
+	if during != 128<<10 {
+		t.Fatalf("mid-destage writes left %d stale bytes, want %d", during, 128<<10)
+	}
+	c.startDestage(eng.Now())
+	var taken int64
+	for p := range c.dirty {
+		if !c.dirty[p].Empty() {
+			t.Fatalf("second destage left pair %d with stale bytes", p)
+		}
+		taken += c.spare[p].Total()
+	}
+	if taken != 64<<10 { // the other span is the chunk in flight
+		t.Fatalf("second destage work set holds %d bytes, want %d", taken, 64<<10)
+	}
+	eng.Run()
+}

@@ -53,6 +53,7 @@ type GRAID struct {
 	gen      int // allocation generation tag; bumped at each destage
 
 	dirty     []intervals.Set // per pair, mirror-stale spans (data-region offsets)
+	spare     []intervals.Set // per pair, the drained work set of the last destage
 	destaging bool
 
 	resp  metrics.ResponseStats
@@ -99,6 +100,7 @@ func NewGRAID(arr *array.Array, cfg GRAIDConfig) (*GRAID, error) {
 		logDisk:  arr.Extras[0],
 		logSpace: space,
 		dirty:    make([]intervals.Set, arr.Geom.Pairs),
+		spare:    make([]intervals.Set, arr.Geom.Pairs),
 	}
 	for _, m := range arr.Mirrors {
 		if err := m.ForceState(disk.Standby); err != nil {
@@ -309,13 +311,8 @@ func (g *GRAID) startDestage(now sim.Time) {
 			// resolves itself — the queued destage IOs will wake it.
 			_ = err
 		}
-		work := &intervals.Set{}
-		for _, sp := range g.dirty[p].Spans() {
-			work.Add(sp.Start, sp.End)
-		}
-		g.clearDirty(p)
 		cp := array.NewCopier(g.arr.Eng, g.arr.Primaries[p], []*disk.Disk{g.arr.Mirrors[p]},
-			work, g.cfg.DestageChunkBytes,
+			g.takeDirty(p), g.cfg.DestageChunkBytes,
 			func(sp intervals.Span) *disk.IO { return g.arr.DataIO(sp.Start, sp.Len(), false, true) },
 			func(sp intervals.Span) *disk.IO { return g.arr.DataIO(sp.Start, sp.Len(), true, true) },
 		)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/rolo-storage/rolo/internal/intervals"
 	"github.com/rolo-storage/rolo/internal/invariant"
 	"github.com/rolo-storage/rolo/internal/logspace"
 )
@@ -149,12 +150,14 @@ func (e *RoLoE) cleanDirty(p int, start, end int64) {
 	e.dirty[p].Remove(start, end)
 }
 
-// clearDirty empties pair p's dirty set as the centralized destage takes
-// ownership of its spans (they move into the destage work set).
+// takeDirty hands pair p's dirty set to the centralized destage as its work
+// set and leaves p the spare the previous destage drained: a destage starts
+// only after the last one's copiers all drained, so the spare is empty.
 //
 // rolosan:audited
-func (e *RoLoE) clearDirty(p int) {
-	e.dirty[p].Clear()
+func (e *RoLoE) takeDirty(p int) *intervals.Set {
+	e.dirty[p], e.spare[p] = e.spare[p], e.dirty[p]
+	return &e.spare[p]
 }
 
 // SanitizerCounters implements invariant.Source.

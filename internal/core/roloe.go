@@ -94,6 +94,7 @@ type RoLoE struct {
 	// dirty[p]: spans of pair p's data region whose only current copy
 	// lives in the on-duty log.
 	dirty []intervals.Set
+	spare []intervals.Set // per pair, the drained work set of the last destage
 
 	readCache  *cache.LRU
 	cacheBytes int64 // reserved cache capacity (informational)
@@ -162,6 +163,7 @@ func NewE(arr *array.Array, cfg EConfig) (*RoLoE, error) {
 		arr:        arr,
 		cfg:        cfg,
 		dirty:      make([]intervals.Set, arr.Geom.Pairs),
+		spare:      make([]intervals.Set, arr.Geom.Pairs),
 		readCache:  lru,
 		cacheBytes: cacheBytes,
 		lastFG:     make([]sim.Time, 2*arr.Geom.Pairs),
@@ -550,15 +552,10 @@ func (e *RoLoE) startDestage(now sim.Time) {
 	join := array.NewJoin(e.arr.Geom.Pairs, func(at sim.Time) { e.endDestage(at) })
 	for p := 0; p < e.arr.Geom.Pairs; p++ {
 		p := p
-		work := &intervals.Set{}
-		for _, sp := range e.dirty[p].Spans() {
-			work.Add(sp.Start, sp.End)
-		}
-		e.clearDirty(p)
 		src := srcs[p%len(srcs)]
 		cp := array.NewCopier(e.arr.Eng, src,
 			[]*disk.Disk{e.arr.Primaries[p], e.arr.Mirrors[p]},
-			work, e.cfg.DestageChunkBytes,
+			e.takeDirty(p), e.cfg.DestageChunkBytes,
 			func(sp intervals.Span) *disk.IO {
 				// The logged copy is read back from the logging region;
 				// its placement approximates the sequential log layout.

@@ -228,3 +228,54 @@ func TestNewEValidation(t *testing.T) {
 		t.Error("single-pair array accepted")
 	}
 }
+
+// TestRoLoEDestageTakesDirtySets pins the centralized destage hand-off:
+// starting a destage moves every pair's dirty set into its copier's work
+// set, leaving the pair empty, and by the time the destage ends each work
+// set has drained, ready to be handed back by the next destage.
+func TestRoLoEDestageTakesDirtySets(t *testing.T) {
+	a, eng := testArray(t, 4)
+	e, err := NewE(a, DefaultEConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		// Scattered writes, 17 stripe units apart, dirty several disjoint
+		// spans on every off-duty pair.
+		for i := int64(0); i < 32; i++ {
+			rec := trace.Record{At: eng.Now(), Op: trace.Write, Offset: (i + int64(round)) * (17 << 16), Size: 64 << 10}
+			if err := e.Submit(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run()
+		var dirty int64
+		for p := range e.dirty {
+			dirty += e.dirty[p].Total()
+		}
+		if dirty == 0 {
+			t.Fatalf("round %d: no dirty bytes to destage", round)
+		}
+		e.startDestage(eng.Now())
+		var work int64
+		for p := range e.dirty {
+			if !e.dirty[p].Empty() {
+				t.Fatalf("round %d: pair %d still dirty after the destage took its set", round, p)
+			}
+			work += e.spare[p].Total()
+		}
+		// Each copier has one chunk in flight; the rest waits in its set.
+		if work <= 0 || work >= dirty {
+			t.Fatalf("round %d: work sets hold %d bytes, want some of %d", round, work, dirty)
+		}
+		eng.Run()
+		if e.destaging {
+			t.Fatalf("round %d: destage never finished", round)
+		}
+		for p := range e.spare {
+			if !e.spare[p].Empty() {
+				t.Fatalf("round %d: pair %d work set not drained: %v", round, p, e.spare[p].Spans())
+			}
+		}
+	}
+}

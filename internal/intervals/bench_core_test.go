@@ -1,6 +1,9 @@
 package intervals
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Core benchmarks: the in-place Set mutators controllers hit per write
 // (markDirty/cleanDirty) and per destage chunk (PopFirst). scripts/check.sh
@@ -50,5 +53,29 @@ func BenchmarkCoreIntervalsPopFirst(b *testing.B) {
 				break
 			}
 		}
+	}
+}
+
+// BenchmarkCoreIntervalsPopFirstDrain measures a destage draining a
+// fragmented work set: fill n disjoint spans in address order, then pop
+// them one whole span at a time. Whole-span pops advance the live window
+// in O(1), so the drain is linear in n.
+func BenchmarkCoreIntervalsPopFirstDrain(b *testing.B) {
+	for _, n := range []int64{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("spans=%d", n), func(b *testing.B) {
+			s := warmSet(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := int64(0); j < n; j++ {
+					s.Add(j*20, j*20+10)
+				}
+				for {
+					if _, ok := s.PopFirst(1 << 20); !ok {
+						break
+					}
+				}
+			}
+		})
 	}
 }

@@ -3,9 +3,12 @@
 // pair and to chunk destaging work.
 //
 // All mutators work in place on the set's backing array (see DESIGN §11):
-// Add, Remove and PopFirst shift spans with memmove-style copies instead of
-// rebuilding the slice, so steady-state mutation performs no allocations
-// once the backing array has reached the set's high-water span count.
+// Add and Remove shift spans with memmove-style copies instead of
+// rebuilding the slice, and a whole-span PopFirst just advances the start
+// of the live window, leaving slack at the front of the array. Growth
+// slides the live spans back over that slack before it would reallocate,
+// so steady-state mutation performs no allocations once the backing array
+// has reached the set's high-water span count.
 package intervals
 
 import (
@@ -24,8 +27,30 @@ func (s Span) Len() int64 { return s.End - s.Start }
 // Set is a sorted, coalesced collection of non-overlapping spans. The zero
 // value is an empty set ready for use.
 type Set struct {
+	// spans is the live window: a re-slice of base's backing array that
+	// whole-span pops advance, so cap(base)-cap(spans) slots of slack sit
+	// in front of it.
 	spans []Span
-	total int64 // cached sum of span lengths, maintained by every mutator
+	base  []Span // len 0, cap of the whole backing array
+	total int64  // cached sum of span lengths, maintained by every mutator
+}
+
+// grow extends the live window by one slot at its end. When the window
+// has reached the end of the backing array but pops have left slack at its
+// front, the live spans slide back to the start of the array first, so the
+// capacity is reused instead of leaked behind the re-slice. The new slot
+// holds stale data; both callers overwrite it.
+func (s *Set) grow() {
+	if n := len(s.spans); n < cap(s.spans) {
+		s.spans = s.spans[:n+1]
+		return
+	}
+	if cap(s.base) > cap(s.spans) {
+		s.spans = s.base[:copy(s.base[:len(s.spans)], s.spans)+1]
+		return
+	}
+	s.spans = append(s.spans, Span{}) // no slack anywhere: reallocate
+	s.base = s.spans[:0]
 }
 
 // Add inserts [start, end), merging with any overlapping or adjacent spans.
@@ -51,7 +76,7 @@ func (s *Set) Add(start, end int64) {
 	s.total += merged.Len() - absorbed
 	if i == j {
 		// Pure insertion: open a hole at i.
-		s.spans = append(s.spans, Span{})
+		s.grow()
 		copy(s.spans[i+1:], s.spans[i:])
 		s.spans[i] = merged
 		return
@@ -99,7 +124,7 @@ func (s *Set) Remove(start, end int64) {
 	case delta > 0:
 		// A removal strictly inside one span splits it: grow by one and
 		// shift the suffix up.
-		s.spans = append(s.spans, Span{})
+		s.grow()
 		copy(s.spans[j+1:], s.spans[j:len(s.spans)-1])
 	}
 	for k := 0; k < keep; k++ {
@@ -149,22 +174,24 @@ func (s *Set) Spans() []Span {
 
 // Clear removes all spans.
 func (s *Set) Clear() {
-	s.spans = s.spans[:0]
+	s.spans = s.base
 	s.total = 0
 }
 
 // PopFirst removes and returns up to max bytes from the lowest span,
 // which is how destagers chunk sequential work. It reports false when the
-// set is empty. Whole-span pops shift the remainder down so the backing
-// array's capacity is recycled rather than leaked behind a re-slice.
+// set is empty. A whole-span pop is O(1): it advances the start of the
+// live window, and the next growth reclaims the slack (see grow). A pop
+// that empties the set moves the window back to the start of the array.
 func (s *Set) PopFirst(max int64) (Span, bool) {
 	if len(s.spans) == 0 || max <= 0 {
 		return Span{}, false
 	}
 	sp := s.spans[0]
 	if sp.Len() <= max {
-		copy(s.spans, s.spans[1:])
-		s.spans = s.spans[:len(s.spans)-1]
+		if s.spans = s.spans[1:]; len(s.spans) == 0 {
+			s.spans = s.base
+		}
 		s.total -= sp.Len()
 		return sp, true
 	}
@@ -177,6 +204,10 @@ func (s *Set) PopFirst(max int64) (Span, bool) {
 // CheckInvariants verifies internal ordering and coalescing; it is used by
 // property tests.
 func (s *Set) CheckInvariants() error {
+	if cap(s.spans) > cap(s.base) {
+		return fmt.Errorf("intervals: live window (cap %d) outside its backing array (cap %d)",
+			cap(s.spans), cap(s.base))
+	}
 	var sum int64
 	for i, sp := range s.spans {
 		if sp.End <= sp.Start {

@@ -124,6 +124,36 @@ func TestPopFirst(t *testing.T) {
 	}
 }
 
+// TestPopFirstWindow pins the O(1) whole-span pop: each pop advances the
+// live window over the backing array, and a pop that empties the set, like
+// Clear, moves the window back to the start of the array.
+func TestPopFirstWindow(t *testing.T) {
+	var s Set
+	for i := int64(0); i < 4; i++ {
+		s.Add(i*20, i*20+10)
+	}
+	full := cap(s.base)
+	for i := 1; i <= 3; i++ {
+		s.PopFirst(100)
+		if got := cap(s.base) - cap(s.spans); got != i {
+			t.Fatalf("after %d pops the window starts at slot %d", i, got)
+		}
+	}
+	if sp, ok := s.PopFirst(100); !ok || sp != (Span{60, 70}) || !s.Empty() {
+		t.Fatalf("last pop = %+v %v, set %v", sp, ok, s.Spans())
+	}
+	if cap(s.spans) != full || cap(s.base) != full {
+		t.Fatalf("emptying pop left the window at slot %d of %d", full-cap(s.spans), full)
+	}
+	s.Add(0, 10)
+	s.Add(20, 30)
+	s.PopFirst(100)
+	s.Clear()
+	if cap(s.spans) != full {
+		t.Fatalf("Clear left the window at slot %d of %d", full-cap(s.spans), full)
+	}
+}
+
 func TestClear(t *testing.T) {
 	var s Set
 	s.Add(0, 10)

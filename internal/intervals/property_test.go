@@ -105,55 +105,77 @@ func (n *naiveSet) popFirst(max int64) (Span, bool) {
 }
 
 // TestSetMatchesNaiveReference fuzzes the in-place Set against the bitmap
-// reference with a rapid add/remove/pop loop, checking CheckInvariants and
-// full span-list agreement after every mutation.
+// reference with rapid add/remove/pop loops, checking CheckInvariants and
+// full span-list agreement after every mutation. Each op mix weights
+// add, remove, pop and query; "drain-while-refilling" is the RoLo-P/R
+// copier pattern, where the dirty set is drained by mostly whole-span pops
+// while writes keep landing in it, so the PopFirst window and its lazy
+// compaction interleave with inserts and splits on both sides of it.
 func TestSetMatchesNaiveReference(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		var s Set
-		var ref naiveSet
-		for op := 0; op < 2000; op++ {
-			start := int64(rng.Intn(universe + 20)) // occasionally out past the edge
-			end := start + int64(rng.Intn(40))
-			switch k := rng.Intn(10); {
-			case k < 4:
-				s.Add(start, end)
-				ref.add(start, end)
-			case k < 7:
-				s.Remove(start, end)
-				ref.remove(start, end)
-			case k < 8:
-				max := int64(rng.Intn(30))
-				got, gotOK := s.PopFirst(max)
-				want, wantOK := ref.popFirst(max)
-				if gotOK != wantOK || got != want {
-					t.Fatalf("seed %d op %d: PopFirst(%d) = %+v,%v, want %+v,%v",
-						seed, op, max, got, gotOK, want, wantOK)
-				}
-			case k < 9:
-				if got, want := s.Contains(start, end), ref.contains(start, end); got != want {
-					t.Fatalf("seed %d op %d: Contains(%d,%d) = %v, want %v", seed, op, start, end, got, want)
-				}
-			default:
-				if got, want := s.Overlaps(start, end), ref.overlaps(start, end); got != want {
-					t.Fatalf("seed %d op %d: Overlaps(%d,%d) = %v, want %v", seed, op, start, end, got, want)
-				}
+	mixes := []struct {
+		name                   string
+		add, remove, pop, look int
+		popMax                 int // pops take up to rng.Intn(popMax) bytes
+	}{
+		{"mixed", 4, 3, 1, 2, 30},
+		{"pop-heavy", 3, 2, 4, 1, 60},
+		{"drain-while-refilling", 3, 1, 6, 0, 1 << 10},
+	}
+	for _, mix := range mixes {
+		t.Run(mix.name, func(t *testing.T) {
+			for seed := int64(0); seed < 40; seed++ {
+				checkAgainstReference(t, seed, mix.add, mix.remove, mix.pop, mix.look, mix.popMax)
 			}
-			if err := s.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d op %d: %v", seed, op, err)
+		})
+	}
+}
+
+func checkAgainstReference(t *testing.T, seed int64, add, remove, pop, look, popMax int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var s Set
+	var ref naiveSet
+	for op := 0; op < 2000; op++ {
+		start := int64(rng.Intn(universe + 20)) // occasionally out past the edge
+		end := start + int64(rng.Intn(40))
+		switch k := rng.Intn(add + remove + pop + look); {
+		case k < add:
+			s.Add(start, end)
+			ref.add(start, end)
+		case k < add+remove:
+			s.Remove(start, end)
+			ref.remove(start, end)
+		case k < add+remove+pop:
+			max := int64(rng.Intn(popMax))
+			got, gotOK := s.PopFirst(max)
+			want, wantOK := ref.popFirst(max)
+			if gotOK != wantOK || got != want {
+				t.Fatalf("seed %d op %d: PopFirst(%d) = %+v,%v, want %+v,%v",
+					seed, op, max, got, gotOK, want, wantOK)
 			}
-			if got, want := s.Total(), ref.total(); got != want {
-				t.Fatalf("seed %d op %d: Total() = %d, want %d", seed, op, got, want)
+		case rng.Intn(2) == 0:
+			if got, want := s.Contains(start, end), ref.contains(start, end); got != want {
+				t.Fatalf("seed %d op %d: Contains(%d,%d) = %v, want %v", seed, op, start, end, got, want)
 			}
-			gotSpans, wantSpans := s.Spans(), ref.spans()
-			if len(gotSpans) != len(wantSpans) {
-				t.Fatalf("seed %d op %d: %d spans %v, want %d spans %v",
-					seed, op, len(gotSpans), gotSpans, len(wantSpans), wantSpans)
+		default:
+			if got, want := s.Overlaps(start, end), ref.overlaps(start, end); got != want {
+				t.Fatalf("seed %d op %d: Overlaps(%d,%d) = %v, want %v", seed, op, start, end, got, want)
 			}
-			for i := range gotSpans {
-				if gotSpans[i] != wantSpans[i] {
-					t.Fatalf("seed %d op %d: span %d = %+v, want %+v", seed, op, i, gotSpans[i], wantSpans[i])
-				}
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d op %d: %v", seed, op, err)
+		}
+		if got, want := s.Total(), ref.total(); got != want {
+			t.Fatalf("seed %d op %d: Total() = %d, want %d", seed, op, got, want)
+		}
+		gotSpans, wantSpans := s.Spans(), ref.spans()
+		if len(gotSpans) != len(wantSpans) {
+			t.Fatalf("seed %d op %d: %d spans %v, want %d spans %v",
+				seed, op, len(gotSpans), gotSpans, len(wantSpans), wantSpans)
+		}
+		for i := range gotSpans {
+			if gotSpans[i] != wantSpans[i] {
+				t.Fatalf("seed %d op %d: span %d = %+v, want %+v", seed, op, i, gotSpans[i], wantSpans[i])
 			}
 		}
 	}
@@ -201,5 +223,37 @@ func TestSetSteadyStateZeroAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("steady-state Add/Remove/PopFirst: %v allocs/op, want 0", n)
+	}
+
+	// Pop-then-grow: fill the array to capacity, pop whole spans off the
+	// front so the live window ends at the array's end, then insert past
+	// the tail. The insert must slide the window back over the front slack
+	// instead of reallocating.
+	full := cap(s.base)
+	compacted := 0
+	if n := testing.AllocsPerRun(200, func() {
+		s.Clear()
+		for i := 0; i < full; i++ {
+			s.Add(int64(i)*20, int64(i)*20+10)
+		}
+		s.PopFirst(1 << 20)
+		s.PopFirst(1 << 20)
+		if len(s.spans) == cap(s.spans) && cap(s.base) > cap(s.spans) {
+			compacted++
+		}
+		s.Add(int64(full)*20, int64(full)*20+10)
+		s.Add(int64(full+1)*20, int64(full+1)*20+10)
+	}); n != 0 {
+		t.Errorf("pop-then-grow: %v allocs/op, want 0", n)
+	}
+	if compacted == 0 {
+		t.Fatal("pop-then-grow never reached the compaction path")
+	}
+	if cap(s.base) != full || s.Count() != full || s.At(0).Start != 40 {
+		t.Fatalf("after compaction: cap %d count %d first %+v, want cap %d count %d first at 40",
+			cap(s.base), s.Count(), s.At(0), full, full)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,6 +10,7 @@ package logspace
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/rolo-storage/rolo/internal/intervals"
@@ -24,8 +25,9 @@ type Alloc struct {
 // Space is the allocator for one disk's logging region. Offsets are
 // relative to the start of the region; callers translate them to LBAs.
 type Space struct {
-	addrSpace int64 // immutable size of the region's address range
-	donated   int64 // bytes permanently given to the data region
+	addrSpace int64         // immutable size of the region's address range
+	donated   int64         // bytes permanently given to the data region
+	donations intervals.Set // the address ranges those bytes came from
 	free      intervals.Set
 	used      map[int]*intervals.Set // tag -> extents
 	usedBy    int64
@@ -37,16 +39,9 @@ type Space struct {
 
 	// Scratch buffers reused by CheckInvariants: the sanitizer sweeps call
 	// it on every log region periodically during checked runs, and the
-	// ownership sort would otherwise allocate on each sweep (DESIGN §11).
-	chkScratch []ownedSpan
+	// ownership merge would otherwise allocate on each sweep (DESIGN §11).
+	chkScratch []ownerCursor
 	tagScratch []int
-}
-
-// ownedSpan attributes a span to its owner for the disjointness check; tag
-// -1 marks a free span.
-type ownedSpan struct {
-	sp  intervals.Span
-	tag int
 }
 
 // New returns a Space over a region of the given size.
@@ -176,124 +171,128 @@ func (s *Space) Tags() []int {
 }
 
 // Reset releases all allocations, returning every non-donated byte to the
-// free list.
+// free list: the complement of the donations, rebuilt in one ascending sweep.
 func (s *Space) Reset() {
-	donatedSpans := s.donatedSpans()
 	s.free.Clear()
-	s.free.Add(0, s.addrSpace)
-	for _, sp := range donatedSpans {
-		s.free.Remove(sp.Start, sp.End)
+	var at int64
+	for i := 0; i < s.donations.Count(); i++ {
+		d := s.donations.At(i)
+		s.free.Add(at, d.Start)
+		at = d.End
 	}
-	s.used = make(map[int]*intervals.Set)
+	s.free.Add(at, s.addrSpace)
+	clear(s.used)
 	s.usedBy = 0
 	s.cursor = 0
 }
 
-// donatedSpans reconstructs which address ranges were donated: everything
-// not free and not used. Donations only ever move bytes out of the free
-// list, so this is exact.
-func (s *Space) donatedSpans() []intervals.Span {
-	var live intervals.Set
-	for _, sp := range s.free.Spans() {
-		live.Add(sp.Start, sp.End)
-	}
-	for _, set := range s.used {
-		for _, sp := range set.Spans() {
-			live.Add(sp.Start, sp.End)
-		}
-	}
-	var donated intervals.Set
-	donated.Add(0, s.addrSpace)
-	for _, sp := range live.Spans() {
-		donated.Remove(sp.Start, sp.End)
-	}
-	return donated.Spans()
-}
-
 // Shrink permanently donates n free bytes to the data region (the paper's
 // data-region expansion: an unused logger region is freed from the unused
-// region list when the data region fills). It reports false if less than n
-// bytes are free.
+// region list when the data region fills). Donations come off the top of
+// the free list. It reports false if less than n bytes are free.
 func (s *Space) Shrink(n int64) bool {
 	if n <= 0 || n > s.FreeBytes() {
 		return false
 	}
-	remaining := n
-	spans := s.free.Spans()
-	for i := len(spans) - 1; i >= 0 && remaining > 0; i-- {
-		sp := spans[i]
-		take := sp.Len()
-		if take > remaining {
-			take = remaining
-		}
+	remaining := n // walking down keeps lower indices valid as spans go
+	for i := s.free.Count() - 1; i >= 0 && remaining > 0; i-- {
+		sp := s.free.At(i)
+		take := min(sp.Len(), remaining)
 		s.free.Remove(sp.End-take, sp.End)
+		s.donations.Add(sp.End-take, sp.End)
 		remaining -= take
 	}
 	s.donated += n
 	return true
 }
 
-// CheckInvariants validates the allocator's bookkeeping: free and used
-// extents are disjoint, within bounds, and account for every byte.
+// ownerCursor walks one owner's spans in the CheckInvariants merge.
+type ownerCursor struct {
+	set  *intervals.Set
+	next int            // index of the span after head
+	head intervals.Span // next unvisited span; Start is math.MaxInt64 once done
+	name string         // "free" or "donated"; empty for a tag's cursor
+	tag  int
+}
+
+func (c *ownerCursor) owner() string {
+	if c.name != "" {
+		return c.name
+	}
+	return fmt.Sprintf("tag %d", c.tag)
+}
+
+func (c *ownerCursor) advance() {
+	if c.next == c.set.Count() {
+		c.head.Start = math.MaxInt64
+		return
+	}
+	c.head = c.set.At(c.next)
+	c.next++
+}
+
+// CheckInvariants validates the allocator's bookkeeping: free, used and
+// donated extents are disjoint, within bounds, and tile the region exactly.
 func (s *Space) CheckInvariants() error {
 	if err := s.free.CheckInvariants(); err != nil {
 		return err
 	}
-	// Gather every live span (free plus per-tag used) and verify mutual
-	// disjointness with one sort and a linear scan. Building an
-	// intervals.Set span by span would cost a quadratic memmove on
-	// fragmented spaces, which matters because the sanitizer sweeps call
-	// this on every log region periodically during checked runs. Both
-	// scratch slices are kept on the Space and reused across sweeps.
-	all := s.chkScratch[:0]
-	for i := 0; i < s.free.Count(); i++ {
-		sp := s.free.At(i)
-		if sp.Start < 0 || sp.End > s.addrSpace {
-			return fmt.Errorf("logspace: free span %+v out of bounds", sp)
-		}
-		all = append(all, ownedSpan{sp, -1})
+	if err := s.donations.CheckInvariants(); err != nil {
+		return fmt.Errorf("logspace: donations: %w", err)
 	}
+	if got := s.donations.Total(); got != s.donated {
+		return fmt.Errorf("logspace: donated spans cover %d bytes, tracked %d", got, s.donated)
+	}
+	// Every owner's set is already sorted, so a k-way merge visits all
+	// spans in address order and proves mutual disjointness without the
+	// sort (or a quadratic intervals.Set build) the periodic sanitizer
+	// sweeps would otherwise pay. Both scratch slices are reused.
 	tags := s.tagScratch[:0]
 	for tag := range s.used {
 		tags = append(tags, tag)
 	}
 	slices.Sort(tags)
 	s.tagScratch = tags[:0]
+	heads := append(s.chkScratch[:0],
+		ownerCursor{set: &s.free, name: "free"}, ownerCursor{set: &s.donations, name: "donated"})
 	var usedTotal int64
 	for _, tag := range tags {
 		set := s.used[tag]
 		if err := set.CheckInvariants(); err != nil {
 			return fmt.Errorf("logspace: tag %d: %w", tag, err)
 		}
-		for i := 0; i < set.Count(); i++ {
-			sp := set.At(i)
-			if sp.Start < 0 || sp.End > s.addrSpace {
-				return fmt.Errorf("logspace: tag %d span %+v out of bounds", tag, sp)
-			}
-			all = append(all, ownedSpan{sp, tag})
-			usedTotal += sp.Len()
-		}
+		usedTotal += set.Total()
+		heads = append(heads, ownerCursor{set: set, tag: tag})
 	}
-	s.chkScratch = all[:0]
-	// slices.SortFunc, unlike sort.Slice, sorts without allocating.
-	slices.SortFunc(all, func(a, b ownedSpan) int {
-		switch {
-		case a.sp.Start < b.sp.Start:
-			return -1
-		case a.sp.Start > b.sp.Start:
-			return 1
-		}
-		return 0
-	})
-	var total int64
-	for i, o := range all {
-		if i > 0 && o.sp.Start < all[i-1].sp.End {
-			if o.tag < 0 {
-				return fmt.Errorf("logspace: free span %+v overlaps", o.sp)
+	s.chkScratch = heads[:0]
+	for i := range heads {
+		heads[i].advance()
+	}
+	var end, total int64
+	for {
+		// The owner with the lowest next start; ties go to the earliest
+		// owner, so the merge order is deterministic.
+		c := &heads[0]
+		for i := 1; i < len(heads); i++ {
+			if heads[i].head.Start < c.head.Start {
+				c = &heads[i]
 			}
-			return fmt.Errorf("logspace: tag %d span %+v overlaps", o.tag, o.sp)
 		}
-		total += o.sp.Len()
+		sp := c.head
+		if sp.Start == math.MaxInt64 {
+			break
+		}
+		c.advance()
+		if sp.Start < 0 || sp.End > s.addrSpace {
+			return fmt.Errorf("logspace: %s span %+v out of bounds", c.owner(), sp)
+		}
+		if sp.Start < end {
+			return fmt.Errorf("logspace: %s span %+v overlaps", c.owner(), sp)
+		}
+		end = sp.End
+		if c.name != "donated" { // donated bytes are not live
+			total += sp.Len()
+		}
 	}
 	if usedTotal != s.usedBy {
 		return fmt.Errorf("logspace: used accounting %d != tracked %d", usedTotal, s.usedBy)

@@ -60,6 +60,12 @@ stage() {
 if want build; then
 	stage "go build ./..." go build ./...
 	stage "go vet ./..." go vet ./...
+	# perfbench/ is a module of its own (it replaces the simulator module
+	# with ../), so the root ./... never compiles it; build it here so a
+	# simulator API change cannot silently break the benchmark harness.
+	# -o /dev/null keeps the binary out of the tree.
+	stage "go build ./... (perfbench module)" \
+		sh -c 'cd perfbench && go build -o /dev/null ./...'
 fi
 
 if want lint; then
@@ -147,8 +153,8 @@ fi
 if want bench-smoke; then
 	stage "bench smoke: go test -bench=Core -benchtime=1x" \
 		go test -run '^$' -bench 'Core' -benchtime 1x \
-		./internal/sim/ ./internal/intervals/ ./internal/metrics/ ./internal/telemetry/ \
-		./internal/disk/ ./internal/fleet/
+		./internal/sim/ ./internal/intervals/ ./internal/logspace/ ./internal/metrics/ \
+		./internal/telemetry/ ./internal/disk/ ./internal/fleet/
 fi
 
 # Journal smoke: a race-built rolosim writes a rotated, compressed journal
